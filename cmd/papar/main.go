@@ -43,10 +43,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dataformat"
 	"repro/internal/faults"
 	"repro/internal/hadoop"
 	"repro/internal/incremental"
@@ -186,6 +186,16 @@ func run() error {
 			}
 			return emitObservability(obs, *traceOut, *metricsOut, *timelineW)
 		}
+		// Ingest apart from the run, so the wall line below can say where the
+		// time went; Execute on the rows is what it would do with the path.
+		t0 := time.Now()
+		locals, err := core.IngestFile(plan.InputSchema, *data, cl.Size())
+		if err != nil {
+			return err
+		}
+		wall := []phase{{"ingest", time.Since(t0)}}
+		in := core.Input{LocalRows: locals}
+		t0 = time.Now()
 		var res *core.Result
 		if *faultSpec != "" {
 			fp, err := faults.Parse(*faultSpec)
@@ -194,7 +204,7 @@ func run() error {
 			}
 			cl.SetFaultPlan(fp)
 			var rep *core.RecoveryReport
-			res, rep, err = core.ExecuteResilientOpts(cl, plan, core.Input{Path: *data}, nil, execOpts)
+			res, rep, err = core.ExecuteResilientOpts(cl, plan, in, nil, execOpts)
 			if err != nil {
 				return err
 			}
@@ -208,9 +218,10 @@ func run() error {
 				fmt.Printf("transport integrity: %d corruptions injected, %d detected, %d retransmitted delivery attempts\n",
 					stats.CorruptInjected, stats.CorruptDetected, stats.Retransmits)
 			}
-		} else if res, err = core.ExecuteOpts(cl, plan, core.Input{Path: *data}, execOpts); err != nil {
+		} else if res, err = core.ExecuteOpts(cl, plan, in, execOpts); err != nil {
 			return err
 		}
+		wall = append(wall, phase{"execute", time.Since(t0)})
 		if *traceN > 0 {
 			fmt.Printf("transport trace (first %d events):\n%s", *traceN, cl.RenderTrace(*traceN))
 		}
@@ -227,11 +238,18 @@ func run() error {
 			fmt.Printf("  after job %d (%s): %v\n", i+1, plan.Jobs[i].JobID(), m)
 		}
 		if *out != "" {
+			t0 = time.Now()
 			if err := core.WritePartitions(plan, res, *out); err != nil {
 				return err
 			}
+			wall = append(wall, phase{"write", time.Since(t0)})
 			fmt.Printf("wrote %d partition files under %s\n", len(res.Partitions), *out)
 		}
+		rows := 0
+		for _, l := range locals {
+			rows += len(l)
+		}
+		fmt.Println(wallLine(rows, wall))
 		return emitObservability(obs, *traceOut, *metricsOut, *timelineW)
 	case "hadoop":
 		if *faultSpec != "" {
@@ -341,24 +359,33 @@ func runDeltaIngest(cl *cluster.Cluster, plan *core.Plan, data, out string, exec
 	return nil
 }
 
-// readAllRows streams the whole input file into memory in record order (the
+// readAllRows reads the whole input file into memory in record order (the
 // same global order the from-scratch executor sees).
 func readAllRows(plan *core.Plan, path string) ([]core.Row, error) {
-	splits, err := dataformat.Splits(plan.InputSchema, path, 1)
+	locals, err := core.IngestFile(plan.InputSchema, path, 1)
 	if err != nil {
 		return nil, err
 	}
-	var rows []core.Row
-	for _, sp := range splits {
-		err := dataformat.StreamSplit(plan.InputSchema, sp, func(rec dataformat.Record) error {
-			rows = append(rows, core.Row{Values: append([]dataformat.Value(nil), rec.Values...)})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	return locals[0], nil
+}
+
+// phase is one timed stretch of a run's wall clock.
+type phase struct {
+	name string
+	d    time.Duration
+}
+
+// wallLine renders the real time a run took beside the virtual makespan the
+// other lines report: total, per phase, and input rows per second of it.
+func wallLine(rows int, phases []phase) string {
+	var total time.Duration
+	parts := make([]string, len(phases))
+	for i, ph := range phases {
+		total += ph.d
+		parts[i] = fmt.Sprintf("%s %.2f", ph.name, ph.d.Seconds())
 	}
-	return rows, nil
+	return fmt.Sprintf("wall: %.2f s (%s) — %.1f M rows/s",
+		total.Seconds(), strings.Join(parts, ", "), float64(rows)/total.Seconds()/1e6)
 }
 
 // reportOptimizer prints the optimizer's prediction against the measured

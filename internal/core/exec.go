@@ -33,6 +33,15 @@ type Result struct {
 	// Partitions holds the final output rows of every partition, in
 	// partition order. Rows have the input file arity (attributes dropped,
 	// groups unpacked).
+	//
+	// Ownership: the outer slice and every partition's []Row belong to the
+	// caller, who may append to, reorder or overwrite the Row headers; no
+	// partition shares header storage with another, with Input.LocalRows or
+	// with a later Execute (partitions cut from one slab are capped at their
+	// length, so an append reallocates). A Row's Values array, however, may
+	// be shared with the input rows and with the row beside it in a decode
+	// slab: appending to it is safe for the same reason, writing its
+	// elements in place is not.
 	Partitions [][]Row
 	// Makespan is the virtual time of the whole partitioning run
 	// (excluding input I/O, matching the paper's measurement).
@@ -113,7 +122,8 @@ func spillRoot(opts ExecOptions) (string, func(), error) {
 // stats (and from there into the observer's metrics).
 func openRankSpill(cl *cluster.Cluster, r *cluster.Rank, root string, opts ExecOptions) (*spill.Store, error) {
 	return spill.Open(spill.Config{
-		Dir:       filepath.Join(root, fmt.Sprintf("rank-%03d", r.ID())),
+		Dir:       root,
+		BuddyDir:  filepath.Join(root, "buddy"),
 		Rank:      r.ID(),
 		Node:      r.Node(),
 		Plan:      cl.FaultPlan(),
@@ -225,6 +235,16 @@ func ExecuteOpts(cl *cluster.Cluster, plan *Plan, in Input, opts ExecOptions) (*
 		return nil, err
 	}
 
+	return assembleResult(cl, plan, jobClocks, jobSentBytes, jobSentMsgs, partsByRank)
+}
+
+// assembleResult is the host side of a finished run, shared by the plain and
+// the resilient executor: fold the per-rank job snapshots into the result's
+// counters and assemble every partition from the ranks' fragments in
+// ascending rank order (dead ranks have none). Each partition is sized
+// before it is filled; a partition only one rank contributed to takes that
+// rank's slice as it is, without a copy.
+func assembleResult(cl *cluster.Cluster, plan *Plan, jobClocks [][]vtime.Duration, jobSentBytes, jobSentMsgs [][]int64, partsByRank []map[int][]Row) (*Result, error) {
 	res := &Result{Makespan: cl.Makespan()}
 	stats := cl.Stats()
 	res.ShuffleBytes = stats.BytesOnWire
@@ -241,19 +261,35 @@ func ExecuteOpts(cl *cluster.Cluster, plan *Plan, in Input, opts ExecOptions) (*
 	res.JobBytes = make([]int64, len(plan.Jobs))
 	res.JobMessages = make([]int64, len(plan.Jobs))
 	for ji := range plan.Jobs {
-		for rank := 0; rank < p; rank++ {
+		for rank := range partsByRank {
 			res.JobBytes[ji] += jobSentBytes[ji][rank]
 			res.JobMessages[ji] += jobSentMsgs[ji][rank]
 		}
 	}
 
-	res.Partitions = make([][]Row, plan.NumPartitions)
-	for rank := 0; rank < p; rank++ {
-		for part, rows := range partsByRank[rank] {
-			if part < 0 || part >= plan.NumPartitions {
+	np := plan.NumPartitions
+	sizes := make([]int, np)
+	contributors := make([]int, np)
+	for rank, parts := range partsByRank {
+		for part, rows := range parts {
+			if part < 0 || part >= np {
 				return nil, fmt.Errorf("core: rank %d produced out-of-range partition %d", rank, part)
 			}
-			res.Partitions[part] = append(res.Partitions[part], rows...)
+			sizes[part] += len(rows)
+			contributors[part]++
+		}
+	}
+	res.Partitions = make([][]Row, np)
+	for _, parts := range partsByRank {
+		for part, rows := range parts {
+			switch {
+			case contributors[part] == 1:
+				res.Partitions[part] = rows[:len(rows):len(rows)]
+			case res.Partitions[part] == nil:
+				res.Partitions[part] = append(make([]Row, 0, sizes[part]), rows...)
+			default:
+				res.Partitions[part] = append(res.Partitions[part], rows...)
+			}
 		}
 	}
 	return res, nil
@@ -271,23 +307,7 @@ func prepareLocals(plan *Plan, in Input, p int) ([][]Row, error) {
 		}
 		copy(locals, in.LocalRows)
 	case in.Path != "":
-		splits, err := dataformat.Splits(plan.InputSchema, in.Path, p)
-		if err != nil {
-			return nil, err
-		}
-		for i, sp := range splits {
-			// Stream the split record by record: ingest never holds the whole
-			// input (or even a whole split's raw bytes) in memory at once.
-			var rows []Row
-			err := dataformat.StreamSplit(plan.InputSchema, sp, func(rec dataformat.Record) error {
-				rows = append(rows, Row{Values: append([]dataformat.Value(nil), rec.Values...)})
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			locals[i] = rows
-		}
+		return IngestFile(plan.InputSchema, in.Path, p)
 	default:
 		return nil, fmt.Errorf("core: input has neither a path nor local rows")
 	}
@@ -831,27 +851,60 @@ func (st *execState) eachAssignment(d *Dataset, policy DistrPolicy, np int, visi
 // the exchange itself (and its wire time) disappears.
 func (st *execState) distributeLocal(j *DistributeJob, inputs []*Dataset) error {
 	defer st.comm.Cluster().Span("core", "write")()
-	inArity := len(st.plan.InputSchema.Fields)
-	st.partitions = map[int][]Row{}
+	members := func(d *Dataset, i int) []Row {
+		if d.Packed {
+			return d.Groups[i].Rows
+		}
+		return d.Rows[i : i+1]
+	}
+
+	// Count first: one pass records every entry's partition (the collective
+	// bookkeeping and routing charges happen here, once) and each
+	// partition's row count.
+	assign := make([][]int32, len(inputs))
+	counts := make([]int, j.NumPartitions)
 	outRows := 0
-	for _, d := range inputs {
+	for di, d := range inputs {
+		assign[di] = make([]int32, d.Len())
 		err := st.eachAssignment(d, j.Policy, j.NumPartitions, func(i, part int) error {
-			member := d.Rows[i : i+1]
-			if d.Packed {
-				member = d.Groups[i].Rows
-			}
-			for _, row := range member {
-				if j.RestoreFormat && len(row.Values) > inArity {
-					// Reslicing the copy leaves the dataset's row intact.
-					row.Values = row.Values[:inArity]
-				}
-				st.partitions[part] = append(st.partitions[part], row)
-				outRows++
-			}
+			assign[di][i] = int32(part)
+			n := len(members(d, i))
+			counts[part] += n
+			outRows += n
 			return nil
 		})
 		if err != nil {
 			return err
+		}
+	}
+
+	// Then fill: the rank's partitions are cut from one exact-size slab of
+	// row headers (copies — the datasets' own headers may be the caller's
+	// LocalRows), each capped at its length so that appending to one never
+	// runs into the next. Entry order, branch order, as the shuffle has it.
+	slab := make([]Row, outRows)
+	st.partitions = map[int][]Row{}
+	next := make([]int, j.NumPartitions) // where each partition's next row goes
+	lo := 0
+	for part, n := range counts {
+		if n > 0 {
+			st.partitions[part] = slab[lo : lo+n : lo+n]
+		}
+		next[part] = lo
+		lo += n
+	}
+	inArity := len(st.plan.InputSchema.Fields)
+	for di, d := range inputs {
+		for i, part := range assign[di] {
+			for _, row := range members(d, i) {
+				if j.RestoreFormat && len(row.Values) > inArity {
+					// Reslicing the copy leaves the dataset's row intact; the
+					// cap keeps an append off its attribute columns.
+					row.Values = row.Values[:inArity:inArity]
+				}
+				slab[next[part]] = row
+				next[part]++
+			}
 		}
 	}
 	st.comm.Cluster().Charge(st.comm.Cluster().Compute().ScanCost(outRows, 0))

@@ -105,18 +105,3 @@ func (f *Framework) Run(plan *Plan, nodes int, in Input) (*Result, error) {
 	cl := cluster.New(cluster.DefaultConfig(nodes))
 	return Execute(cl, plan, in)
 }
-
-// WritePartitions writes every partition of a result to
-// base/part-NNNNN files in the plan's input format.
-func WritePartitions(plan *Plan, res *Result, base string) error {
-	for pi, rows := range res.Partitions {
-		recs, err := RowsToRecords(plan.InputSchema, rows)
-		if err != nil {
-			return fmt.Errorf("core: partition %d: %w", pi, err)
-		}
-		if err := dataformat.WriteFile(plan.InputSchema, dataformat.PartitionPath(base, pi), recs); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -292,40 +292,8 @@ func ExecuteResilientOpts(cl *cluster.Cluster, plan *Plan, in Input, res *Resili
 		return nil, report, err
 	}
 
-	result := &Result{Makespan: cl.Makespan()}
-	stats := cl.Stats()
-	result.ShuffleBytes = stats.BytesOnWire
-	result.ShuffleMessages = stats.Messages
-	for _, clocks := range jobClocks {
-		var m vtime.Duration
-		for _, c := range clocks {
-			if c > m {
-				m = c
-			}
-		}
-		result.JobMakespans = append(result.JobMakespans, m)
-	}
-	result.JobBytes = make([]int64, len(plan.Jobs))
-	result.JobMessages = make([]int64, len(plan.Jobs))
-	for ji := range plan.Jobs {
-		for rank := 0; rank < p; rank++ {
-			result.JobBytes[ji] += jobSentBytes[ji][rank]
-			result.JobMessages[ji] += jobSentMsgs[ji][rank]
-		}
-	}
-	result.Partitions = make([][]Row, plan.NumPartitions)
-	for rank := 0; rank < p; rank++ {
-		if partsByRank[rank] == nil {
-			continue
-		}
-		for part, rows := range partsByRank[rank] {
-			if part < 0 || part >= plan.NumPartitions {
-				return nil, report, fmt.Errorf("core: rank %d produced out-of-range partition %d", rank, part)
-			}
-			result.Partitions[part] = append(result.Partitions[part], rows...)
-		}
-	}
-	return result, report, nil
+	result, err := assembleResult(cl, plan, jobClocks, jobSentBytes, jobSentMsgs, partsByRank)
+	return result, report, err
 }
 
 // rebalanceAfterRestore evens the per-rank load after orphan adoption with

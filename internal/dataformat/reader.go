@@ -2,7 +2,6 @@ package dataformat
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"strings"
@@ -136,54 +135,26 @@ var streamChunk = 256 << 10
 
 // StreamSplit decodes one split record by record, holding only a bounded
 // buffer in memory — ingest never materializes the whole split. fn sees each
-// record in file order; a non-nil error from fn aborts the scan.
+// record in file order; a non-nil error from fn aborts the scan. A record's
+// Values are its own to keep: capped at their length and never reused.
 func StreamSplit(schema *Schema, sp Split, fn func(Record) error) error {
 	if err := schema.Validate(); err != nil {
 		return err
+	}
+	if schema.Binary {
+		l, err := CompileLayout(schema)
+		if err != nil {
+			return err
+		}
+		return l.StreamSplit(sp, func(vals []Value) error {
+			return fn(Record{Schema: schema, Values: vals})
+		})
 	}
 	f, err := os.Open(sp.Path)
 	if err != nil {
 		return fmt.Errorf("dataformat: %w", err)
 	}
 	defer f.Close()
-
-	chunk := int64(streamChunk)
-	if schema.Binary {
-		// Round the chunk down to whole records so every buffer decodes
-		// cleanly on its own.
-		rec, err := schema.RecordSize()
-		if err != nil {
-			return err
-		}
-		if sp.Length%int64(rec) != 0 {
-			return fmt.Errorf("dataformat: %d bytes is not a multiple of record size %d", sp.Length, rec)
-		}
-		if chunk < int64(rec) {
-			chunk = int64(rec)
-		}
-		chunk -= chunk % int64(rec)
-		buf := make([]byte, chunk)
-		for off := int64(0); off < sp.Length; {
-			m := chunk
-			if off+m > sp.Length {
-				m = sp.Length - off
-			}
-			if _, err := f.ReadAt(buf[:m], sp.Offset+off); err != nil {
-				return fmt.Errorf("dataformat: reading split %d of %s: %w", sp.Index, sp.Path, err)
-			}
-			recs, err := DecodeBinary(schema, buf[:m])
-			if err != nil {
-				return err
-			}
-			for _, r := range recs {
-				if err := fn(r); err != nil {
-					return err
-				}
-			}
-			off += m
-		}
-		return nil
-	}
 
 	// Text: keep a carry buffer of bytes that did not yet form a complete
 	// record, refill it a chunk at a time.
@@ -193,7 +164,7 @@ func StreamSplit(schema *Schema, sp Split, fn func(Record) error) error {
 	for {
 		atEOF := read >= sp.Length
 		if !atEOF {
-			m := chunk
+			m := int64(streamChunk)
 			if read+m > sp.Length {
 				m = sp.Length - read
 			}
@@ -242,33 +213,23 @@ func ReadAll(schema *Schema, path string) ([]Record, error) {
 }
 
 // DecodeBinary parses fixed-width binary records (no header; the caller has
-// already skipped StartPosition).
+// already skipped StartPosition). The records share one value slab, each
+// capped at its own length.
 func DecodeBinary(schema *Schema, buf []byte) ([]Record, error) {
-	rec, err := schema.RecordSize()
+	l, err := CompileLayout(schema)
 	if err != nil {
 		return nil, err
 	}
-	if len(buf)%rec != 0 {
-		return nil, fmt.Errorf("dataformat: %d bytes is not a multiple of record size %d", len(buf), rec)
+	if len(buf)%l.recSize != 0 {
+		return nil, fmt.Errorf("dataformat: %d bytes is not a multiple of record size %d", len(buf), l.recSize)
 	}
-	n := len(buf) / rec
-	out := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		r := Record{Schema: schema, Values: make([]Value, len(schema.Fields))}
-		p := buf[i*rec:]
-		for j, f := range schema.Fields {
-			switch f.Type {
-			case Integer:
-				r.Values[j] = IntVal(int64(int32(binary.LittleEndian.Uint32(p))))
-				p = p[4:]
-			case Long:
-				r.Values[j] = IntVal(int64(binary.LittleEndian.Uint64(p)))
-				p = p[8:]
-			default:
-				return nil, fmt.Errorf("dataformat: type %v in binary schema", f.Type)
-			}
-		}
-		out = append(out, r)
+	nf := len(l.fields)
+	out := make([]Record, len(buf)/l.recSize)
+	slab := make([]Value, len(out)*nf)
+	for i := range out {
+		vals := slab[i*nf : (i+1)*nf : (i+1)*nf]
+		l.decode(vals, buf[i*l.recSize:])
+		out[i] = Record{Schema: schema, Values: vals}
 	}
 	return out, nil
 }

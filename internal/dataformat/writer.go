@@ -1,8 +1,6 @@
 package dataformat
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,31 +9,11 @@ import (
 // EncodeBinary serializes records into the schema's fixed-width binary
 // layout (without the StartPosition header).
 func EncodeBinary(schema *Schema, recs []Record) ([]byte, error) {
-	rec, err := schema.RecordSize()
+	l, err := CompileLayout(schema)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, rec*len(recs))
-	for i, r := range recs {
-		if len(r.Values) != len(schema.Fields) {
-			return nil, fmt.Errorf("dataformat: record %d has %d values for %d fields", i, len(r.Values), len(schema.Fields))
-		}
-		for j, f := range schema.Fields {
-			v, err := r.Values[j].AsInt()
-			if err != nil {
-				return nil, fmt.Errorf("dataformat: record %d field %q: %w", i, f.Name, err)
-			}
-			switch f.Type {
-			case Integer:
-				out = binary.LittleEndian.AppendUint32(out, uint32(int32(v)))
-			case Long:
-				out = binary.LittleEndian.AppendUint64(out, uint64(v))
-			default:
-				return nil, fmt.Errorf("dataformat: type %v in binary schema", f.Type)
-			}
-		}
-	}
-	return out, nil
+	return l.appendRecords(make([]byte, 0, l.RecordSize()*len(recs)), recs)
 }
 
 // EncodeText serializes records into the schema's delimited text layout.
@@ -61,39 +39,27 @@ func WriteFile(schema *Schema, path string, recs []Record) error {
 	if err := schema.Validate(); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("dataformat: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("dataformat: %w", err)
-	}
-	w := bufio.NewWriter(f)
 	var payload []byte
+	var err error
 	if schema.Binary {
-		if schema.StartPosition > 0 {
-			if _, err := w.Write(make([]byte, schema.StartPosition)); err != nil {
-				f.Close()
-				return fmt.Errorf("dataformat: %w", err)
-			}
+		var l *Layout
+		if l, err = CompileLayout(schema); err != nil {
+			return err
 		}
-		payload, err = EncodeBinary(schema, recs)
+		payload, err = l.appendRecords(l.AppendHeader(make([]byte, 0, l.FileSize(len(recs)))), recs)
 	} else {
 		payload, err = EncodeText(schema, recs)
 	}
 	if err != nil {
-		f.Close()
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
-		f.Close()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("dataformat: %w", err)
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
+	if err := os.WriteFile(path, payload, 0o666); err != nil {
 		return fmt.Errorf("dataformat: %w", err)
 	}
-	return f.Close()
+	return nil
 }
 
 // PartitionPath names the per-partition output file under a base path,

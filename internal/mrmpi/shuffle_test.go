@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -42,7 +41,7 @@ func runShuffleJob(t *testing.T, nodes int, budget int64, codec bool, plan *faul
 		mr := New(mpi.NewComm(r))
 		if budget > 0 {
 			st, err := spill.Open(spill.Config{
-				Dir:    filepath.Join(base, fmt.Sprintf("rank-%03d", r.ID())),
+				Dir:    base,
 				Rank:   r.ID(),
 				Node:   r.Node(),
 				Charge: func(d vtime.Duration) { r.Clock().Advance(d) },

@@ -70,7 +70,7 @@ func runSpillProgram(t *testing.T, budget int64) spillRunResult {
 		mr := New(mpi.NewComm(r))
 		if budget > 0 {
 			st, err := spill.Open(spill.Config{
-				Dir:    filepath.Join(base, fmt.Sprintf("rank-%03d", r.ID())),
+				Dir:    base,
 				Rank:   r.ID(),
 				Node:   r.Node(),
 				Charge: func(d vtime.Duration) { r.Clock().Advance(d) },

@@ -126,25 +126,19 @@ func CollectStats(p *core.Plan, rowSets [][]core.Row, seed int64) (*InputStats, 
 	return c.stats(), nil
 }
 
-// CollectStatsFromFile samples an on-disk input (the papar CLI path) with
-// the same bounded-memory streaming reader ingest uses.
+// CollectStatsFromFile samples an on-disk input (the papar CLI path),
+// streamed through the executor's own bounded-memory ingest.
 func CollectStatsFromFile(p *core.Plan, path string, seed int64) (*InputStats, error) {
 	if p.InputSchema == nil {
 		return nil, fmt.Errorf("planopt: plan %s has no input schema", p.WorkflowID)
 	}
 	c := newCollector(p, seed)
-	sps, err := dataformat.Splits(p.InputSchema, path, 1)
+	err := core.ScanFile(p.InputSchema, path, func(r core.Row) error {
+		c.offer(r.Values)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("planopt: sampling %s: %w", path, err)
-	}
-	for _, sp := range sps {
-		err := dataformat.StreamSplit(p.InputSchema, sp, func(rec dataformat.Record) error {
-			c.offer(rec.Values)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("planopt: sampling %s: %w", path, err)
-		}
 	}
 	return c.stats(), nil
 }

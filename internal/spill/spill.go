@@ -8,7 +8,8 @@
 //
 // # Run file layout
 //
-// A run is one file per storage path, `run-%06d.spill`, holding frames:
+// A run is one file per storage path, `rank-%03d/run-%06d.spill` under the
+// store's directory, holding frames:
 //
 //	uint32 magic ("SPF1") | uint32 payloadLen | payload | uint32 crc32c(payload)
 //
@@ -150,11 +151,14 @@ func (e *NoSpaceError) Error() string {
 
 // Config describes one rank's spill store.
 type Config struct {
-	// Dir is the primary spill directory (created by Open).
+	// Dir is the primary spill directory (created by Open). The store keeps
+	// its runs in a rank-NNN subdirectory of it, so the stores of one job's
+	// ranks may share a Dir; (Dir, Rank) must be unique among open stores.
 	Dir string
 	// BuddyDir is the failover path; defaults to Dir + "-buddy".
 	BuddyDir string
-	// Rank and Node key the deterministic fault decisions.
+	// Rank and Node key the deterministic fault decisions; Rank also scopes
+	// the store's files.
 	Rank int
 	Node int
 	// Plan supplies the disk faults (nil = fault-free).
@@ -182,7 +186,10 @@ type Store struct {
 	stats Stats
 }
 
-// Open creates the store's directories and returns it.
+// Open creates the store's directories and returns it. Run ids are only
+// unique per store, so each store works in its own rank-qualified
+// subdirectory: two ranks opened on one Dir never see each other's runs, and
+// Close removes only its own.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("spill: Config.Dir required")
@@ -193,9 +200,10 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.FrameBytes <= 0 {
 		cfg.FrameBytes = DefaultFrameBytes
 	}
+	sub := fmt.Sprintf("rank-%03d", cfg.Rank)
 	s := &Store{
 		cfg:   cfg,
-		dirs:  [2]string{cfg.Dir, cfg.BuddyDir},
+		dirs:  [2]string{filepath.Join(cfg.Dir, sub), filepath.Join(cfg.BuddyDir, sub)},
 		scale: cfg.Plan.DiskScale(cfg.Node),
 		live:  map[int64]*Run{},
 	}
@@ -462,7 +470,9 @@ func (s *Store) Remove(r *Run) {
 	delete(s.live, r.id)
 }
 
-// Close removes every live run and the store's directories (best-effort).
+// Close removes every live run and the store's own subdirectories
+// (best-effort). Dir and BuddyDir themselves stay: another rank's store may
+// be about to open under them.
 func (s *Store) Close() {
 	for _, r := range s.live {
 		for i, p := range r.paths {

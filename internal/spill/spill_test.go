@@ -85,6 +85,54 @@ func TestRoundtripMultiFrame(t *testing.T) {
 	}
 }
 
+// TestTwoStoresShareOneDir pins the rank scoping of the store's files: two
+// ranks opened on one Dir hand out the same run ids, and neither may read,
+// overwrite or delete the other's runs (they used to share run-%06d.spill).
+func TestTwoStoresShareOneDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "spill")
+	a := openTestStore(t, Config{Dir: dir, Rank: 0, Replicate: true})
+	b := openTestStore(t, Config{Dir: dir, Rank: 1, Replicate: true})
+	type written struct {
+		s   *Store
+		in  *keyval.List
+		run *Run
+	}
+	var runs []written
+	for i := 0; i < 6; i++ {
+		s := a
+		if i%2 == 1 {
+			s = b
+		}
+		in := testList(100 + 37*i) // distinct lengths: a crossed read fails assertSame
+		r, err := s.WriteRun(in)
+		if err != nil {
+			t.Fatalf("WriteRun %d: %v", i, err)
+		}
+		runs = append(runs, written{s, in, r})
+	}
+	if runs[0].run.ID() != runs[1].run.ID() {
+		t.Fatalf("run ids %d and %d: the two stores no longer collide on ids, so this test pins nothing",
+			runs[0].run.ID(), runs[1].run.ID())
+	}
+	for _, w := range runs {
+		assertSame(t, w.in, readBack(t, w.s, w.run))
+	}
+	// Removing and closing on one rank leaves the other's runs readable.
+	a.Remove(runs[0].run)
+	assertSame(t, runs[1].in, readBack(t, b, runs[1].run))
+	a.Close()
+	for _, w := range runs {
+		if w.s == b {
+			assertSame(t, w.in, readBack(t, b, w.run))
+		}
+	}
+	late, err := Open(Config{Dir: dir, Rank: 0})
+	if err != nil {
+		t.Fatalf("reopening rank 0 beside a live rank 1: %v", err)
+	}
+	late.Close()
+}
+
 func TestENOSPCFailsOverToBuddy(t *testing.T) {
 	// Find a seed/run where the primary path is refused but the buddy is not.
 	plan := &faults.Plan{Seed: 7, Disk: faults.Disk{ENOSPCProb: 0.5}}
